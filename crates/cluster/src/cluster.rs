@@ -28,7 +28,7 @@ use crate::report::{ClusterReport, ShardReport};
 use crate::ring::HashRing;
 use mggcn_exec::Backend;
 use mggcn_gpusim::{GpuSpec, LatencyStats, MachineSpec};
-use mggcn_sched::{Action, Component, DispatchSite, EventQueue, Injector, Policy, Scheduler};
+use mggcn_sched::{Action, Component, DispatchSite, EventQueue, Injector, Scheduler};
 use mggcn_serve::{form_batches, Batch, BatchPolicy, Request, ServeConfig, Server, ServingModel};
 use mggcn_trace::Tracer;
 use std::sync::Arc;
@@ -183,21 +183,18 @@ impl Cluster {
         self.tracer = Some(tracer);
     }
 
-    /// Serve an arrival-ordered trace to completion. Every request gets
-    /// exactly one answer — exact (admitted) or degraded (shed) — and the
-    /// returned answers are sorted by request id.
-    pub fn serve_trace(&mut self, label: &str, requests: &[Request]) -> ClusterOutcome {
-        self.serve_trace_chaos(label, requests, &Injector::none())
-    }
-
-    /// [`serve_trace`](Self::serve_trace) under fault injection. Each
-    /// shard's batch loop is a scheduler [`Component`] ([`ShardSweep`]),
-    /// run shard-major so the fault-free path stays bit-identical to the
-    /// legacy sequential sweep. The injector can defer batches
-    /// (preemption) or take a shard down — shard loss forces tagged
-    /// degraded answers with a fixed host-side cost (never a timeout) and
-    /// drops the dead shard's propagation cache (cache-node loss).
-    pub fn serve_trace_chaos(
+    /// Serve an arrival-ordered trace to completion under `inj`. Every
+    /// request gets exactly one answer — exact (admitted) or degraded
+    /// (shed) — and the returned answers are sorted by request id.
+    ///
+    /// Each shard's batch loop is a scheduler [`Component`]
+    /// ([`ShardSweep`]), run shard-major so the fault-free path
+    /// ([`Injector::none`]) stays bit-identical to the legacy sequential
+    /// sweep. The injector can defer batches (preemption) or take a shard
+    /// down — shard loss forces tagged degraded answers with a fixed
+    /// host-side cost (never a timeout) and drops the dead shard's
+    /// propagation cache (cache-node loss).
+    pub fn serve_trace(
         &mut self,
         label: &str,
         requests: &[Request],
@@ -265,7 +262,7 @@ impl Cluster {
                 shed_inflight: &mut shed_inflight,
                 shed_fault: &mut shed_fault,
             };
-            Scheduler::new(Policy::DiscreteEvent)
+            Scheduler::new()
                 .run(&mut [&mut sweep], inj)
                 .expect("shard sweep cannot stall: every queued batch has a finite ready time");
 
@@ -334,7 +331,7 @@ impl Cluster {
     pub fn measure_capacity(&mut self, sample: &[Request]) -> f64 {
         let saved = self.cfg.admission;
         self.cfg.admission = AdmissionPolicy::unbounded();
-        let outcome = self.serve_trace("calibrate", sample);
+        let outcome = self.serve_trace("calibrate", sample, &Injector::none());
         self.cfg.admission = saved;
         if outcome.report.compute_seconds <= 0.0 {
             return f64::INFINITY;
@@ -556,7 +553,7 @@ mod tests {
         let model = tiny_model(32);
         let mut cluster =
             Cluster::new(&model, ClusterConfig::new(2, 1, BatchPolicy::new(1e-3, 8)), None);
-        let out = cluster.serve_trace("empty", &[]);
+        let out = cluster.serve_trace("empty", &[], &Injector::none());
         assert!(out.answers.is_empty());
         assert_eq!(out.report.requests, 0);
     }
@@ -569,7 +566,7 @@ mod tests {
         let plan = PartitionPlan::random(64, 2, 5);
         let mut cluster = Cluster::new(&model, cfg, Some(&plan));
         let reqs = trace(120, 64, 5000.0);
-        let out = cluster.serve_trace("exact", &reqs);
+        let out = cluster.serve_trace("exact", &reqs, &Injector::none());
         assert_eq!(out.answers.len(), reqs.len());
         assert_eq!(out.report.degraded, 0);
         for (a, r) in out.answers.iter().zip(&reqs) {
@@ -590,7 +587,7 @@ mod tests {
         let mut cluster = Cluster::new(&model, cfg, None);
         // Far beyond one GPU per shard: shedding must kick in.
         let reqs = trace(400, 64, 2.0e6);
-        let out = cluster.serve_trace("overload", &reqs);
+        let out = cluster.serve_trace("overload", &reqs, &Injector::none());
         assert_eq!(out.answers.len(), reqs.len(), "no request is dropped");
         assert!(out.report.degraded > 0, "overload must shed");
         assert!(out.report.admitted > 0, "shedding must not starve the exact path");

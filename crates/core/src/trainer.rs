@@ -31,6 +31,7 @@ use crate::state::{BcSlot, DeviceState, GpuState};
 use mggcn_dense::{gemm, gemm_a_bt, gemm_at_b, relu_inplace, Accumulate, Dense};
 use mggcn_exec::Backend;
 use mggcn_gpusim::engine::{Body, OpDesc};
+use mggcn_gpusim::sched::Injector;
 use mggcn_gpusim::{
     BufId, Category, Effects, OomError, OpId, RunReport, Schedule, StaleRead, Timeline,
 };
@@ -331,7 +332,8 @@ impl Trainer {
         let (run, measured) = match self.opts.backend {
             Backend::Simulated => (sched.run(&self.state), None),
             Backend::Threaded => {
-                let r = mggcn_exec::execute(sched, &self.state).map_err(TrainError::Exec)?;
+                let r = mggcn_exec::execute(sched, &self.state, &Injector::none())
+                    .map_err(TrainError::Exec)?;
                 if let Some(tracer) = &self.tracer {
                     tracer.ingest_wall_spans(&r.spans, r.wall_seconds);
                 }

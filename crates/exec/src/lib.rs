@@ -35,7 +35,7 @@ use mggcn_gpusim::{Category, OpId, RunReport, Schedule};
 use mggcn_sched::{Action, DispatchSite, Injector};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -138,31 +138,6 @@ impl std::fmt::Display for ExecError {
 }
 
 impl std::error::Error for ExecError {}
-
-/// Fault injection for robustness tests: panic inside the N-th body
-/// executed process-wide (counting from 0). `-1` disables.
-#[doc(hidden)]
-pub fn inject_panic_at_body(n: i64) {
-    BODY_COUNTER.store(0, Ordering::SeqCst);
-    PANIC_AT.store(n, Ordering::SeqCst);
-}
-
-static PANIC_AT: AtomicI64 = AtomicI64::new(-1);
-static BODY_COUNTER: AtomicI64 = AtomicI64::new(0);
-
-fn fault_check(label: &str) {
-    let target = PANIC_AT.load(Ordering::SeqCst);
-    if target >= 0 {
-        let k = BODY_COUNTER.fetch_add(1, Ordering::SeqCst);
-        // Disarm only when this body is the target, so a later body
-        // cannot also fire (one-shot), and earlier ones leave it armed.
-        if k == target
-            && PANIC_AT.compare_exchange(target, -1, Ordering::SeqCst, Ordering::SeqCst).is_ok()
-        {
-            panic!("injected fault in `{label}`");
-        }
-    }
-}
 
 /// Safety net against lost wakeups: waiters re-check their predicate at
 /// least this often even with no notification.
@@ -367,10 +342,7 @@ impl<'a, Ctx> Shared<'a, Ctx> {
         let Some(body) = body else { return true };
         let label = desc.label;
         let begin = Instant::now();
-        let r = catch_unwind(AssertUnwindSafe(|| {
-            fault_check(label);
-            body(self.ctx);
-        }));
+        let r = catch_unwind(AssertUnwindSafe(|| body(self.ctx)));
         let seconds = begin.elapsed().as_secs_f64();
         match r {
             Ok(()) => {
@@ -393,18 +365,13 @@ impl<'a, Ctx> Shared<'a, Ctx> {
     }
 }
 
-/// Really execute `sched` against `ctx` with one worker thread per GPU.
+/// Really execute `sched` against `ctx` with one worker thread per GPU,
+/// consulting `inj` at every per-worker dispatch before its op.
 ///
 /// Numerics are bit-identical to `sched.run(ctx)`: each worker replays
 /// its GPU's slice of the simulator's deterministic completion order, and
 /// all cross-GPU orderings that matter are dependency edges or collective
 /// barriers, enforced here with real synchronization.
-pub fn execute<Ctx: Sync>(sched: Schedule<Ctx>, ctx: &Ctx) -> Result<ExecReport, ExecError> {
-    execute_chaos(sched, ctx, &Injector::none())
-}
-
-/// [`execute`] with fault/preemption injection: every per-worker dispatch
-/// consults `inj` before processing its op.
 ///
 /// * [`Action::Pause`] deschedules the worker for the given duration; the
 ///   blocked time is recorded as a [`Category::Barrier`] wall span.
@@ -413,9 +380,9 @@ pub fn execute<Ctx: Sync>(sched: Schedule<Ctx>, ctx: &Ctx) -> Result<ExecReport,
 ///   workers (including peers blocked mid-rendezvous), so the run fails in
 ///   bounded time instead of hanging.
 ///
-/// With the no-op injector this is exactly [`execute`]: the hooks cost one
-/// branch per dispatch and inject nothing.
-pub fn execute_chaos<Ctx: Sync>(
+/// With [`Injector::none`] the hooks cost one branch per dispatch and
+/// inject nothing.
+pub fn execute<Ctx: Sync>(
     sched: Schedule<Ctx>,
     ctx: &Ctx,
     inj: &Injector,
@@ -532,7 +499,7 @@ mod tests {
                 ));
             }
         }
-        let r = execute(s, &log).expect("no panic");
+        let r = execute(s, &log, &Injector::none()).expect("no panic");
         assert_eq!(r.bodies_run, 6);
         let got = log.into_inner().unwrap();
         assert_eq!(got.len(), 6);
@@ -593,7 +560,7 @@ mod tests {
                 })),
             );
         }
-        let r = execute(s, &ctx).expect("no panic");
+        let r = execute(s, &ctx, &Injector::none()).expect("no panic");
         assert_eq!(ctx.total.load(Ordering::SeqCst), 10 + 20 + 30 + 40);
         assert_eq!(r.bodies_run, 2 * p + 1);
     }
@@ -621,7 +588,7 @@ mod tests {
         let lanes: Vec<(usize, usize)> = (0..p).map(|g| (g, 0)).collect();
         s.collective(&lanes, 1.0e6, 25.0e9, OpDesc::new(Category::Comm, "barrier"), &[], None);
         let start = Instant::now();
-        let err = execute(s, &ctx).expect_err("must fail");
+        let err = execute(s, &ctx, &Injector::none()).expect_err("must fail");
         assert!(start.elapsed() < Duration::from_secs(10), "bounded-time failure");
         assert_eq!(err.gpu, 2);
         assert!(err.message.contains("device 2 exploded"), "{err}");
@@ -641,7 +608,7 @@ mod tests {
                 Some(Box::new(|_: &()| std::thread::sleep(Duration::from_millis(2)))),
             );
         }
-        let r = execute(s, &ctx).expect("ok");
+        let r = execute(s, &ctx, &Injector::none()).expect("ok");
         assert_eq!(r.bodies_run, 2);
         let body_spans = r.spans.iter().filter(|s| s.category != Category::Barrier).count();
         assert_eq!(body_spans, 2);
@@ -681,7 +648,7 @@ mod tests {
             &[a],
             Some(Box::new(|_: &()| std::thread::sleep(Duration::from_millis(2)))),
         );
-        let r = execute(s, &ctx).expect("ok");
+        let r = execute(s, &ctx, &Injector::none()).expect("ok");
 
         // GPU 1's blocked time is barrier, not GeMM.
         let gpu1_barrier: f64 = r
@@ -745,7 +712,7 @@ mod tests {
             ..FaultPlan::none()
         };
         let inj = Injector::new(plan);
-        let r = execute_chaos(mk(), &ctx, &inj).expect("pauses are recoverable");
+        let r = execute(mk(), &ctx, &inj).expect("pauses are recoverable");
         assert_eq!(r.bodies_run, 2, "both bodies still run");
         assert_eq!(inj.fired().len(), 1, "the pause fired");
 
@@ -786,7 +753,7 @@ mod tests {
         let plan = FaultPlan { kills: vec![Kill { gpu: 2, seq: 0 }], ..FaultPlan::none() };
         let inj = Injector::new(plan);
         let start = Instant::now();
-        let err = execute_chaos(s, &(), &inj).expect_err("death must fail the run");
+        let err = execute(s, &(), &inj).expect_err("death must fail the run");
         assert!(start.elapsed() < Duration::from_secs(10), "bounded-time failure");
         assert_eq!(err.gpu, 2);
         assert!(err.message.contains("injected worker death"), "untagged error: {err}");
@@ -818,7 +785,7 @@ mod tests {
             Effects::none().reads([buf]),
             Some(Box::new(|r: &AtomicBool| r.store(true, Ordering::SeqCst))),
         );
-        let err = execute(s, &ran).expect_err("hazardous schedule accepted");
+        let err = execute(s, &ran, &Injector::none()).expect_err("hazardous schedule accepted");
         assert_eq!(err.label, "preflight");
         assert!(err.message.contains("RAW hazard"), "unexpected message: {}", err.message);
         assert!(!ran.load(Ordering::SeqCst), "a body ran despite preflight failure");
@@ -841,7 +808,7 @@ mod tests {
             Effects::none().reads([BufId::new(0, "BC1")]),
             Some(Box::new(|r: &AtomicBool| r.store(true, Ordering::SeqCst))),
         );
-        let err = execute(s, &ran).expect_err("uninitialized read accepted");
+        let err = execute(s, &ran, &Injector::none()).expect_err("uninitialized read accepted");
         assert_eq!(err.label, "preflight");
         assert!(err.message.contains("uninitialized read"), "unexpected message: {}", err.message);
         assert!(!ran.load(Ordering::SeqCst), "a body ran despite preflight failure");

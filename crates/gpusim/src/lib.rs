@@ -16,8 +16,7 @@
 //!   Adam, the loss layer, and collectives;
 //! * [`timeline`] — per-op span recording and the per-category aggregations
 //!   behind Figs 5, 6 and 8;
-//! * [`report`] — nvprof-style profiles (the §4 bottleneck methodology);
-//! * [`trace`] — Chrome-trace export for interactive timeline inspection.
+//! * [`report`] — nvprof-style profiles (the §4 bottleneck methodology).
 //!
 //! Kernels may carry *bodies* (closures over a user context) that execute in
 //! simulated-completion order, so the same schedule that is timed can also
@@ -68,7 +67,6 @@ pub mod report;
 pub mod shadow;
 pub mod specs;
 pub mod timeline;
-pub mod trace;
 
 pub use effects::{BufId, Effects, StaleRead};
 pub use engine::{OpId, OpInfo, RunReport, Schedule, SimOutcome, Work};

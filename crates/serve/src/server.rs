@@ -34,7 +34,7 @@ use mggcn_gpusim::{
     BufId, Category, CostModel, Effects, LatencyStats, MachineSpec, Schedule, Work,
 };
 use mggcn_graph::sampling::{khop_induced, InducedBlock};
-use mggcn_sched::{Action, Component, DispatchSite, EventQueue, Injector, Policy, Scheduler};
+use mggcn_sched::{Component, EventQueue, Injector, Scheduler};
 use mggcn_sparse::spmm_rows;
 use mggcn_trace::json::{self, JsonWriter};
 use std::sync::{Arc, Mutex};
@@ -295,26 +295,10 @@ impl Server {
     /// Serve a full arrival-ordered trace under the configured batching
     /// policy and machine, returning the aggregate report. The propagation
     /// cache persists across calls (serve the same trace twice to measure
-    /// warm-cache behaviour); replica clocks reset per call.
+    /// warm-cache behaviour); replica clocks reset per call. Batches are
+    /// dispatched by the `mggcn-sched` core in formation order (ready
+    /// times are nondecreasing and ties pop FIFO).
     pub fn serve(&mut self, label: &str, requests: &[Request]) -> ServeReport {
-        self.serve_chaos(label, requests, &Injector::none())
-    }
-
-    /// [`Server::serve`] with fault/preemption injection. Batch dispatch is
-    /// driven by the unified `mggcn-sched` core: the batcher becomes a
-    /// [`Component`] whose events are batch-ready instants, and every
-    /// dispatch consults `inj` (an [`Action::Pause`] defers the batch —
-    /// preemption of the batching front end; every deferred request's extra
-    /// queueing shows up in its latency). With the no-op injector the
-    /// report is bit-identical to the legacy inline loop: batches pop in
-    /// formation order (ready times are nondecreasing and ties preserve
-    /// insertion order) and all accounting runs in the same sequence.
-    pub fn serve_chaos(
-        &mut self,
-        label: &str,
-        requests: &[Request],
-        inj: &Injector,
-    ) -> ServeReport {
         if requests.is_empty() {
             // An empty trace is a valid (if dull) workload — zero-request
             // summary, not a panic.
@@ -331,16 +315,14 @@ impl Server {
             }
             let mut sweep = BatchSweep {
                 server: self,
-                shard: 0,
                 queue,
-                seq: 0,
                 free_at: vec![0.0f64; gpu_count],
                 latency: LatencyStats::new(),
                 compute_seconds: 0.0,
                 last_done: 0.0,
             };
-            Scheduler::new(Policy::DiscreteEvent)
-                .run(&mut [&mut sweep], inj)
+            Scheduler::new()
+                .run(&mut [&mut sweep], &Injector::none())
                 .expect("batch sweep cannot stall: every batch has a ready time");
             (sweep.latency, sweep.compute_seconds, sweep.last_done)
         };
@@ -626,7 +608,8 @@ impl Server {
                 r.makespan
             }
             Backend::Threaded => {
-                let r = mggcn_exec::execute(sched, &ctx).expect("serve bodies do not panic");
+                let r = mggcn_exec::execute(sched, &ctx, &Injector::none())
+                    .expect("serve bodies do not panic");
                 if let Some(tracer) = &self.tracer {
                     tracer.ingest_wall_spans(&r.spans, r.wall_seconds);
                     tracer.ingest_sim_timeline(&r.sim.timeline, r.sim.makespan);
@@ -660,12 +643,7 @@ impl Server {
 /// are purely batch-ready instants.
 struct BatchSweep<'s> {
     server: &'s mut Server,
-    /// Identity of this sweep at [`DispatchSite::BatchDispatch`] sites
-    /// (shard id in a cluster, 0 standalone).
-    shard: usize,
     queue: EventQueue<Batch>,
-    /// Dispatch counter: the `seq` coordinate fault plans match on.
-    seq: usize,
     free_at: Vec<f64>,
     latency: LatencyStats,
     compute_seconds: f64,
@@ -674,38 +652,18 @@ struct BatchSweep<'s> {
 
 impl Component for BatchSweep<'_> {
     fn label(&self) -> String {
-        format!("serve batch sweep (shard {})", self.shard)
+        "serve batch sweep".into()
     }
 
-    fn dispatch(&mut self, now: f64, inj: &Injector) -> bool {
+    fn dispatch(&mut self, now: f64, _inj: &Injector) -> bool {
         let mut any = false;
         while self.queue.peek_time().is_some_and(|t| t <= now) {
-            let (ready_at, b) = self.queue.pop().expect("peeked");
-            let seq = self.seq;
-            self.seq += 1;
-            if !inj.is_noop() {
-                match inj.at(DispatchSite::BatchDispatch { shard: self.shard, seq }) {
-                    Action::Pause { seconds } => {
-                        // The batching front end is preempted: defer the
-                        // batch. It re-dispatches (under a fresh seq) at
-                        // now + pause; the extra queueing lands in every
-                        // member request's latency.
-                        self.queue.push(now + seconds, b);
-                        any = true;
-                        continue;
-                    }
-                    // A single-node server has no failover target — kills
-                    // model node loss and are meaningful at cluster level
-                    // (shard loss ⇒ degraded answers). Ignored here.
-                    Action::Kill | Action::None => {}
-                }
-            }
+            let (_, b) = self.queue.pop().expect("peeked");
             let gpu = (0..self.free_at.len())
                 .min_by(|&a, &b| self.free_at[a].total_cmp(&self.free_at[b]))
                 .expect("machine has GPUs");
             let (_, service) = self.server.execute_batch(&b.vertices(), gpu);
-            // A deferred batch starts no earlier than its deferred dispatch.
-            let start = ready_at.max(b.ready_at).max(self.free_at[gpu]);
+            let start = b.ready_at.max(self.free_at[gpu]);
             let done = start + service;
             self.free_at[gpu] = done;
             self.last_done = self.last_done.max(done);
@@ -735,10 +693,7 @@ impl Component for BatchSweep<'_> {
     }
 
     fn stuck(&self) -> Vec<String> {
-        self.queue
-            .peek_time()
-            .map(|t| vec![format!("shard {} batch pending at t={t}", self.shard)])
-            .unwrap_or_default()
+        self.queue.peek_time().map(|t| vec![format!("batch pending at t={t}")]).unwrap_or_default()
     }
 }
 

@@ -22,14 +22,12 @@ use mggcn_core::config::{GcnConfig, TrainOptions};
 use mggcn_core::problem::Problem;
 use mggcn_core::trainer::Trainer;
 use mggcn_dense::Dense;
-use mggcn_exec::{execute, execute_chaos};
+use mggcn_exec::execute;
 use mggcn_gpusim::engine::OpDesc;
 use mggcn_gpusim::{Category, GpuSpec, MachineSpec, Schedule, Work};
 use mggcn_graph::generators::chung_lu;
 use mggcn_graph::generators::sbm::{self, SbmConfig};
-use mggcn_sched::{
-    chaos_seed, chaos_seed_count, FaultPlan, Injector, Kill, Policy, Scenario, ShardLoss,
-};
+use mggcn_sched::{chaos_seed, chaos_seed_count, FaultPlan, Injector, Kill, Scenario, ShardLoss};
 use mggcn_serve::{BatchPolicy, LoadGenConfig, Request, ServingModel};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -63,9 +61,7 @@ fn epoch_schedule(gpus: usize) -> Schedule<mggcn_core::state::DeviceState> {
 fn noop_injector_is_bit_identical_to_the_legacy_simulator() {
     let s = epoch_schedule(2);
     let base = s.simulate();
-    let alt = s
-        .simulate_with(Policy::DiscreteEvent, &Injector::none())
-        .expect("fault-free run cannot stall");
+    let alt = s.simulate_with(&Injector::none()).expect("fault-free run cannot stall");
     assert_eq!(
         base.report.makespan.to_bits(),
         alt.report.makespan.to_bits(),
@@ -89,7 +85,7 @@ fn slow_links_terminate_and_never_beat_the_fault_free_oracle() {
         let plan = FaultPlan::seeded(seed, Scenario::SlowLink { gpus: 2 });
         let start = Instant::now();
         let a = s
-            .simulate_with(Policy::DiscreteEvent, &Injector::new(plan.clone()))
+            .simulate_with(&Injector::new(plan.clone()))
             .unwrap_or_else(|st| panic!("slow links must be recoverable (seed {seed}): {st}"));
         assert!(start.elapsed() < BOUND, "seed {seed} blew the time bound");
         assert!(
@@ -102,7 +98,7 @@ fn slow_links_terminate_and_never_beat_the_fault_free_oracle() {
         set.sort_unstable();
         assert_eq!(set, base_set, "seed {seed}: ops lost or duplicated");
         // Replay: the same seed must reproduce the run bit for bit.
-        let b = s.simulate_with(Policy::DiscreteEvent, &Injector::new(plan)).expect("replay");
+        let b = s.simulate_with(&Injector::new(plan)).expect("replay");
         assert_eq!(a.report.makespan.to_bits(), b.report.makespan.to_bits(), "seed {seed}");
         assert_eq!(a.completion_order, b.completion_order, "seed {seed}");
     }
@@ -137,7 +133,7 @@ fn nic_degrade_delays_15d_multinode_runs_but_loses_nothing() {
         let plan = FaultPlan::seeded(seed, Scenario::NicDegrade { nodes: 2, gpus_per_node: 2 });
         let start = Instant::now();
         let a = s
-            .simulate_with(Policy::DiscreteEvent, &Injector::new(plan.clone()))
+            .simulate_with(&Injector::new(plan.clone()))
             .unwrap_or_else(|st| panic!("NIC degradation must be recoverable (seed {seed}): {st}"));
         assert!(start.elapsed() < BOUND, "seed {seed} blew the time bound");
         // Lossless: every op completes, exactly once.
@@ -153,7 +149,7 @@ fn nic_degrade_delays_15d_multinode_runs_but_loses_nothing() {
             base.report.makespan
         );
         // Replay: the seed is the whole story.
-        let b = s.simulate_with(Policy::DiscreteEvent, &Injector::new(plan)).expect("replay");
+        let b = s.simulate_with(&Injector::new(plan)).expect("replay");
         assert_eq!(a.report.makespan.to_bits(), b.report.makespan.to_bits(), "seed {seed}");
         assert_eq!(a.completion_order, b.completion_order, "seed {seed}");
     }
@@ -171,7 +167,7 @@ fn sim_worker_death_stalls_bounded_with_the_stuck_lanes_named() {
     let plan =
         FaultPlan { kills: (0..2).map(|g| Kill { gpu: g, seq: 0 }).collect(), ..FaultPlan::none() };
     let start = Instant::now();
-    let stall = match s.simulate_with(Policy::DiscreteEvent, &Injector::new(plan)) {
+    let stall = match s.simulate_with(&Injector::new(plan)) {
         Err(stall) => stall,
         Ok(_) => panic!("a killed head op must stall the schedule"),
     };
@@ -192,7 +188,7 @@ fn seeded_worker_death_either_fails_labeled_or_matches_the_oracle() {
     for seed in seeds() {
         let plan = FaultPlan::seeded(seed, Scenario::WorkerDeath { gpus: 2, ops_per_gpu: n_ops });
         let start = Instant::now();
-        match s.simulate_with(Policy::DiscreteEvent, &Injector::new(plan)) {
+        match s.simulate_with(&Injector::new(plan)) {
             // The kill coordinate missed (wrong GPU for that op id):
             // the run must then be indistinguishable from fault-free.
             Ok(out) => {
@@ -205,34 +201,6 @@ fn seeded_worker_death_either_fails_labeled_or_matches_the_oracle() {
         }
         assert!(start.elapsed() < BOUND, "seed {seed} blew the time bound");
     }
-}
-
-// ---------------------------------------------------------------------
-// Lockstep conformance: CycleSync is a debugging view of the same run.
-// ---------------------------------------------------------------------
-
-#[test]
-fn cyclesync_retires_the_same_ops_with_quantized_makespan() {
-    let s = epoch_schedule(2);
-    let base = s.simulate();
-    let quantum = (base.report.makespan / 512.0).max(1e-7);
-    let lock = s
-        .simulate_with(Policy::CycleSync { quantum }, &Injector::none())
-        .expect("lockstep run cannot stall");
-    assert_eq!(lock.report.ops_executed, base.report.ops_executed);
-    let (mut a, mut b) = (lock.completion_order.clone(), base.completion_order.clone());
-    a.sort_unstable();
-    b.sort_unstable();
-    assert_eq!(a, b, "lockstep lost or duplicated ops");
-    // Completions quantize to grid points: never earlier than the DES
-    // oracle, and at most one quantum of slack per retirement round.
-    assert!(lock.report.makespan >= base.report.makespan - 1e-12);
-    let bound = base.report.makespan + quantum * (base.report.ops_executed as f64 + 2.0);
-    assert!(
-        lock.report.makespan <= bound,
-        "lockstep makespan {} exceeds quantized bound {bound}",
-        lock.report.makespan
-    );
 }
 
 // ---------------------------------------------------------------------
@@ -261,7 +229,7 @@ fn writer_schedule(gpus: usize) -> Schedule<Mutex<Vec<usize>>> {
 #[test]
 fn exec_preemption_leaves_results_bit_identical_to_fault_free() {
     let oracle = Mutex::new(Vec::new());
-    execute(writer_schedule(2), &oracle).expect("fault-free run");
+    execute(writer_schedule(2), &oracle, &Injector::none()).expect("fault-free run");
     let mut want = std::mem::take(&mut *oracle.lock().unwrap());
     want.sort_unstable();
 
@@ -273,7 +241,7 @@ fn exec_preemption_leaves_results_bit_identical_to_fault_free() {
         let inj = Injector::new(plan);
         let ctx = Mutex::new(Vec::new());
         let start = Instant::now();
-        let r = execute_chaos(writer_schedule(2), &ctx, &inj)
+        let r = execute(writer_schedule(2), &ctx, &inj)
             .unwrap_or_else(|e| panic!("preemption must be recoverable (seed {seed}): {e}"));
         assert!(start.elapsed() < BOUND, "seed {seed} blew the time bound");
         assert_eq!(r.bodies_run, 2, "seed {seed}: a paused body was dropped");
@@ -293,7 +261,7 @@ fn exec_death_mid_collective_fails_bounded_and_tagged_for_every_seed() {
         let lanes: Vec<(usize, usize)> = (0..4).map(|g| (g, 0)).collect();
         s.collective(&lanes, 1.0e6, 25.0e9, OpDesc::new(Category::Comm, "allreduce"), &[], None);
         let start = Instant::now();
-        let err = execute_chaos(s, &(), &Injector::new(plan))
+        let err = execute(s, &(), &Injector::new(plan))
             .expect_err("a dead rendezvous participant must fail the run");
         assert!(start.elapsed() < BOUND, "seed {seed}: peers hung on the dead worker");
         assert!(
@@ -327,7 +295,7 @@ fn cluster_and_trace(model: &ServingModel) -> (Cluster, Vec<Request>) {
 fn cluster_cache_node_loss_degrades_the_dead_shard_and_spares_the_rest() {
     let model = serving_model(64);
     let (mut oracle_cluster, reqs) = cluster_and_trace(&model);
-    let oracle = oracle_cluster.serve_trace("oracle", &reqs);
+    let oracle = oracle_cluster.serve_trace("oracle", &reqs, &Injector::none());
     assert_eq!(oracle.report.shed_fault, 0, "fault-free run must not count faults");
 
     let window = 1e-3;
@@ -335,7 +303,7 @@ fn cluster_cache_node_loss_degrades_the_dead_shard_and_spares_the_rest() {
     let inj = Injector::new(plan.clone());
     let (mut cluster, _) = cluster_and_trace(&model);
     let start = Instant::now();
-    let out = cluster.serve_trace_chaos("cache-loss", &reqs, &inj);
+    let out = cluster.serve_trace("cache-loss", &reqs, &inj);
     assert!(start.elapsed() < BOUND, "shard loss must not stall the sweep");
 
     // Graceful degradation: every request still gets exactly one answer.
@@ -365,7 +333,7 @@ fn cluster_cache_node_loss_degrades_the_dead_shard_and_spares_the_rest() {
 
     // Replay: same plan, fresh cluster, identical outcome.
     let (mut again, _) = cluster_and_trace(&model);
-    let rerun = again.serve_trace_chaos("cache-loss", &reqs, &Injector::new(plan));
+    let rerun = again.serve_trace("cache-loss", &reqs, &Injector::new(plan));
     assert_eq!(rerun.report.shed_fault, out.report.shed_fault);
     for (a, b) in out.answers.iter().zip(&rerun.answers) {
         assert_eq!(a.row, b.row);
@@ -380,7 +348,7 @@ fn seeded_cache_loss_answers_everything_for_every_seed() {
         let plan = FaultPlan::seeded(seed, Scenario::CacheLoss { shards: 2, horizon: 0.02 });
         let (mut cluster, reqs) = cluster_and_trace(&model);
         let start = Instant::now();
-        let out = cluster.serve_trace_chaos("seeded-loss", &reqs, &Injector::new(plan));
+        let out = cluster.serve_trace("seeded-loss", &reqs, &Injector::new(plan));
         assert!(start.elapsed() < BOUND, "seed {seed} blew the time bound");
         assert_eq!(out.answers.len(), reqs.len(), "seed {seed}: requests lost");
         assert_eq!(
@@ -454,7 +422,7 @@ fn sim_stale_epoch_kill_stalls_labeled_or_matches_the_oracle() {
         let plan =
             FaultPlan::seeded(seed, Scenario::StaleEpochKill { gpus: 2, ops_per_epoch: n_ops / 3 });
         let start = Instant::now();
-        match s.simulate_with(Policy::DiscreteEvent, &Injector::new(plan)) {
+        match s.simulate_with(&Injector::new(plan)) {
             // Kill coordinate missed (wrong GPU for that op id): the run
             // must be indistinguishable from fault-free.
             Ok(out) => {
@@ -516,7 +484,7 @@ fn stale_epoch_kill_dies_tagged_and_restarts_cleanly_from_checkpoint() {
         let sched = victim.pipelined_schedule(2);
         victim.state().reset_scratch();
         let start = Instant::now();
-        match execute_chaos(sched, victim.state(), &Injector::new(plan)) {
+        match execute(sched, victim.state(), &Injector::new(plan)) {
             Ok(_) => {}
             Err(err) => {
                 killed += 1;

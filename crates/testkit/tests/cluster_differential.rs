@@ -13,6 +13,7 @@ use mggcn_cluster::{AdmissionPolicy, Cluster, ClusterConfig, PartitionPlan};
 use mggcn_dense::Dense;
 use mggcn_exec::Backend;
 use mggcn_graph::generators::sbm::{self, SbmConfig};
+use mggcn_sched::Injector;
 use mggcn_serve::{generate_load, BatchPolicy, LoadGenConfig, ServingModel};
 
 fn model(n: usize, seed: u64) -> (ServingModel, Dense, mggcn_sparse::Csr) {
@@ -37,7 +38,7 @@ fn sharded_serving_matches_the_oracle_across_shard_counts_and_backends() {
             // Unbounded admission: every answer must take the exact path.
             cfg.admission = AdmissionPolicy::unbounded();
             let mut cluster = Cluster::new(&m, cfg, Some(&plan));
-            let out = cluster.serve_trace("diff", &reqs);
+            let out = cluster.serve_trace("diff", &reqs, &Injector::none());
             assert_eq!(out.answers.len(), reqs.len());
             assert_eq!(out.report.degraded, 0, "unbounded admission never sheds");
             for a in &out.answers {
@@ -65,7 +66,7 @@ fn shard_count_does_not_change_any_admitted_answer() {
         let plan = PartitionPlan::cache_aware(&adj, shards, 3);
         let cfg = ClusterConfig::new(shards, 1, BatchPolicy::new(5e-4, 8));
         let mut cluster = Cluster::new(&m, cfg, Some(&plan));
-        cluster.serve_trace("p", &reqs).answers
+        cluster.serve_trace("p", &reqs, &Injector::none()).answers
     };
     let one = run(1);
     let four = run(4);
@@ -87,7 +88,7 @@ fn tight_admission_sheds_with_tagged_bounded_degraded_answers() {
     let mut cluster = Cluster::new(&m, cfg, Some(&plan));
     // Way past one replica GPU per shard: shedding must engage.
     let reqs = generate_load(&LoadGenConfig::uniform(3.0e6, 600, 200, 17));
-    let out = cluster.serve_trace("overload", &reqs);
+    let out = cluster.serve_trace("overload", &reqs, &Injector::none());
 
     assert_eq!(out.answers.len(), reqs.len(), "overload never drops a request");
     assert!(out.report.degraded > 0, "overload must shed");
@@ -116,7 +117,7 @@ fn degraded_answers_are_deterministic_across_identical_runs() {
         cfg.admission = AdmissionPolicy::new(0.0, 1);
         let mut cluster = Cluster::new(&m, cfg, Some(&plan));
         let reqs = generate_load(&LoadGenConfig::uniform(2.0e6, 400, 160, 23));
-        cluster.serve_trace("det", &reqs)
+        cluster.serve_trace("det", &reqs, &Injector::none())
     };
     let a = run();
     let b = run();

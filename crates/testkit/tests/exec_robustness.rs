@@ -1,25 +1,23 @@
-//! Failure semantics of the threaded execution backend: a panicking op
-//! body must surface as a prompt `Err` from `train_epoch` — never a
-//! deadlock — and must not corrupt anything a checkpoint restore cannot
-//! repair.
+//! Failure semantics of the threaded execution backend: a worker dying
+//! mid-epoch must surface as a prompt `Err` — never a deadlock — and must
+//! not corrupt anything a checkpoint restore cannot repair.
 //!
-//! The injected fault fires inside an arbitrary kernel body mid-epoch,
+//! The injected fault kills one worker partway through a training epoch,
 //! while other workers are blocked on barriers and fences that the dead
 //! worker will never signal. The executor's failure flag plus its
-//! re-checking waits turn that into bounded-time unwinding. This file
-//! holds exactly one test because the injection counter is process-wide
-//! state.
+//! re-checking waits turn that into bounded-time unwinding.
 
 use mggcn_core::checkpoint::Checkpoint;
 use mggcn_core::config::{GcnConfig, TrainOptions};
 use mggcn_core::problem::Problem;
 use mggcn_core::trainer::Trainer;
-use mggcn_exec::Backend;
+use mggcn_exec::{execute, Backend};
 use mggcn_graph::generators::sbm::{self, SbmConfig};
+use mggcn_sched::{FaultPlan, Injector, Kill};
 use std::time::{Duration, Instant};
 
 #[test]
-fn injected_worker_panic_fails_fast_and_checkpoint_recovers() {
+fn injected_worker_death_fails_fast_and_checkpoint_recovers() {
     if std::env::var("MGGCN_THREADS").is_err() {
         std::env::set_var("MGGCN_THREADS", "4");
     }
@@ -37,18 +35,24 @@ fn injected_worker_panic_fails_fast_and_checkpoint_recovers() {
     t.train(2).expect("healthy epochs");
     let ck = Checkpoint::from_trainer(&t);
 
-    // Inject: the 5th body of the next epoch panics on whichever worker
-    // claims it. The epoch must fail, promptly.
-    mggcn_exec::inject_panic_at_body(5);
+    // Inject: GPU 1's worker dies at its 5th dispatch of the next epoch,
+    // while its peers may already have written device state. The epoch
+    // must fail, promptly.
+    let inj =
+        Injector::new(FaultPlan { kills: vec![Kill { gpu: 1, seq: 5 }], ..FaultPlan::none() });
+    let sched = t.epoch_schedule();
+    t.state().reset_scratch();
     let start = Instant::now();
-    let err = t.train_epoch().expect_err("a panicking worker must fail the epoch");
+    let err = execute(sched, t.state(), &inj).expect_err("a dead worker must fail the epoch");
     let elapsed = start.elapsed();
     assert!(
         elapsed < Duration::from_secs(30),
         "failure took {elapsed:?}; workers must not hang on a dead peer"
     );
+    assert_eq!(inj.fired().len(), 1, "the kill fired");
+    assert_eq!(err.gpu, 1, "error names the dead worker: {err}");
     let msg = err.to_string();
-    assert!(msg.contains("injected fault"), "error lost the panic payload: {msg}");
+    assert!(msg.contains("injected worker death"), "error lost the fault tag: {msg}");
     assert!(msg.contains("panicked"), "error does not name the failure mode: {msg}");
 
     // Recovery: restore the pre-fault checkpoint into the *same* trainer

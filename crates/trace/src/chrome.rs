@@ -226,6 +226,8 @@ mod tests {
         assert!(a.contains(&format!("\"pid\":{}", WALL_PID_BASE)));
         assert!(a.contains("\"bytes\":128"));
         assert!(a.contains("\"reads\":2,\"writes\":1"));
+        // Seconds export as microseconds: the 1 ms span lasts 1000 us.
+        assert!(a.contains("\"ts\":0.000,\"dur\":1000.000"));
     }
 
     #[test]

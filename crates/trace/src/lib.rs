@@ -380,11 +380,6 @@ impl Tracer {
     ) -> std::io::Result<()> {
         std::fs::write(path, self.chrome_trace(include_wall))
     }
-
-    /// Write `BENCH_trace.json` to a file.
-    pub fn write_bench_json(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.bench_json())
-    }
 }
 
 #[cfg(test)]

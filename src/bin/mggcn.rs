@@ -112,6 +112,30 @@ fn get<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str, default
     flags.get(key).and_then(|v| v.parse().ok()).unwrap_or(default)
 }
 
+/// Read the artifact at `path` and validate it: the validator's value, or
+/// exit 1 with `cannot read …` / `PATH: INVALID: …` on stderr.
+fn check_file<T>(path: &str, validate: impl FnOnce(&str) -> Result<T, String>) -> T {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("cannot read {path}: {e}");
+        exit(1)
+    });
+    validate(&text).unwrap_or_else(|e| {
+        eprintln!("{path}: INVALID: {e}");
+        exit(1)
+    })
+}
+
+/// Write `text` to `path`, then re-read and validate the file: what is on
+/// disk is what CI consumes, so it is what gets checked. Exits 1 on a
+/// failed write or an invalid artifact.
+fn write_checked<T>(path: &str, text: &str, validate: impl FnOnce(&str) -> Result<T, String>) -> T {
+    if let Err(e) = std::fs::write(path, text) {
+        eprintln!("failed to write {path}: {e}");
+        exit(1);
+    }
+    check_file(path, validate)
+}
+
 fn usage() -> ! {
     eprintln!(
         "usage:\n  mggcn train    [--gpus N] [--epochs E] [--hidden H] [--vertices V]\n                 [--no-overlap] [--no-permute] [--checkpoint PATH] [--resume PATH]\n                 [--backend simulated|threaded] [--threads T] [--trace PATH]\n                 [--partition 1d|1.5d] [--nodes N] [--nic GBPS] [--staleness K]\n  mggcn simulate --dataset NAME [--machine v100|a100] [--gpus N] [--model a|b|c|d] [--profile] [--trace PATH]\n  mggcn memory   --dataset NAME [--hidden H] [--layers L]\n  mggcn datasets\n  mggcn serve-bench [--qps Q] [--batch-window S] [--max-batch B] [--cache-mb MB]\n                    [--requests N] [--vertices V] [--gpus N] [--epochs E] [--seed S] [--trace PATH]\n  mggcn serve-bench --check PATH\n  mggcn cluster-bench [--shards P] [--gpus-per-shard G] [--qps-mult M] [--requests N]\n                      [--vertices V] [--epochs E] [--seed S] [--slo-ms MS] [--max-degraded R]\n                      [--batch-window S] [--max-batch B] [--cache-mb MB]\n                      [--backend simulated|threaded] [--threads T] [--out PATH] [--trace PATH]\n  mggcn cluster-bench --check PATH\n  mggcn bench-exec  [--gpus P] [--vertices V] [--hidden H] [--epochs E] [--threads LIST]\n                    [--staleness LIST] [--nic GBPS] [--out PATH]\n  mggcn bench-exec  --check PATH\n  mggcn trace    [--gpus N] [--vertices V] [--hidden H] [--epochs E]\n                 [--backend simulated|threaded] [--threads T] [--out PATH] [--chrome PATH]\n  mggcn trace    --check PATH\n  mggcn analyze  [--gpus N] [--vertices V] [--hidden H] [--dump]\n                 [--audit-effects] [--model-check] [--json] [--out PATH]\n  mggcn analyze  --dataset NAME [--machine v100|a100] [--gpus N] [--model a|b|c|d]\n                 [--partition 1d|1.5d] [--dump] [--json] [--out PATH]\n  mggcn topo-bench [--out BENCH_topo.json]\n  mggcn topo-bench --check PATH"
@@ -400,6 +424,10 @@ fn cmd_simulate(flags: &HashMap<String, String>) {
             exit(0)
         }
     };
+    let tracer = flags.get("trace").map(|_| std::sync::Arc::new(mg_gcn::trace::Tracer::new()));
+    if let Some(t) = &tracer {
+        trainer.set_tracer(t.clone());
+    }
     let report = trainer.train_epoch().expect("simulated backend cannot fail");
     println!(
         "{} on {} x{}: epoch {:.4} s  ({:.1} MiB/GPU planned)",
@@ -418,11 +446,8 @@ fn cmd_simulate(flags: &HashMap<String, String>) {
         let profile = Profile::from_timeline(&report.timeline, report.sim_seconds);
         print!("{}", profile.render());
     }
-    if let Some(path) = flags.get("trace") {
-        match mg_gcn::gpusim::trace::write_chrome_trace(
-            &report.timeline,
-            std::path::Path::new(path),
-        ) {
+    if let (Some(path), Some(tracer)) = (flags.get("trace"), &tracer) {
+        match tracer.write_chrome_trace(std::path::Path::new(path), false) {
             Ok(()) => println!("chrome trace written to {path} (open in chrome://tracing)"),
             Err(e) => eprintln!("trace failed: {e}"),
         }
@@ -477,17 +502,8 @@ fn train_serving_model(vertices: usize, epochs: usize, seed: u64) -> (Graph, Ser
 
 fn cmd_serve_bench(flags: &HashMap<String, String>) {
     if let Some(path) = flags.get("check") {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            exit(1)
-        });
-        match mg_gcn::serve::validate_serve_bench(&text) {
-            Ok(()) => println!("{path}: valid serve-bench report"),
-            Err(e) => {
-                eprintln!("{path}: INVALID: {e}");
-                exit(1);
-            }
-        }
+        check_file(path, mg_gcn::serve::validate_serve_bench);
+        println!("{path}: valid serve-bench report");
         return;
     }
 
@@ -585,17 +601,8 @@ fn cmd_cluster_bench(flags: &HashMap<String, String>) {
     use mg_gcn::trace::json::JsonWriter;
 
     if let Some(path) = flags.get("check") {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            exit(1)
-        });
-        match validate_cluster_bench(&text) {
-            Ok(()) => println!("{path}: valid cluster-bench report"),
-            Err(e) => {
-                eprintln!("{path}: INVALID: {e}");
-                exit(1);
-            }
-        }
+        check_file(path, validate_cluster_bench);
+        println!("{path}: valid cluster-bench report");
         return;
     }
 
@@ -688,7 +695,7 @@ fn cmd_cluster_bench(flags: &HashMap<String, String>) {
     );
     let trace =
         mg_gcn::serve::generate_load(&LoadGenConfig::skewed(qps, requests, graph.n(), seed + 1));
-    let outcome = cluster.serve_trace("overload", &trace);
+    let outcome = cluster.serve_trace("overload", &trace, &mg_gcn::gpusim::sched::Injector::none());
     let report = &outcome.report;
     eprintln!("{}", report.render());
     for s in &report.shards {
@@ -744,16 +751,7 @@ fn cmd_cluster_bench(flags: &HashMap<String, String>) {
         .raw("result", &report.to_json())
         .raw("verdict", &verdict)
         .finish();
-    // The file on disk is what CI consumes: write, re-read, validate.
-    if let Err(e) = std::fs::write(&out, format!("{json}\n")) {
-        eprintln!("failed to write {out}: {e}");
-        exit(1);
-    }
-    let text = std::fs::read_to_string(&out).expect("just wrote it");
-    if let Err(e) = validate_cluster_bench(&text) {
-        eprintln!("{out}: INVALID: {e}");
-        exit(1);
-    }
+    write_checked(&out, &format!("{json}\n"), validate_cluster_bench);
     eprintln!("wrote {out} (schema {BENCH_CLUSTER_SCHEMA})");
     println!("{json}");
     if let Some(path) = flags.get("trace") {
@@ -779,20 +777,8 @@ fn cmd_cluster_bench(flags: &HashMap<String, String>) {
 /// existing artifact (schema + the k=1 improvement gate) for CI.
 fn cmd_bench_exec(flags: &HashMap<String, String>) {
     if let Some(path) = flags.get("check") {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            exit(1)
-        });
-        match validate_exec_bench(&text) {
-            Ok(msg) => {
-                println!("{path}: {msg}");
-                return;
-            }
-            Err(e) => {
-                eprintln!("{path}: INVALID: {e}");
-                exit(1)
-            }
-        }
+        println!("{path}: {}", check_file(path, validate_exec_bench));
+        return;
     }
     let gpus: usize = get(flags, "gpus", 2);
     let vertices: usize = get(flags, "vertices", 3000);
@@ -856,10 +842,10 @@ fn cmd_bench_exec(flags: &HashMap<String, String>) {
                 eprintln!("epoch failed: {e}");
                 exit(1)
             });
+            // Whole-epoch wall (build, preflight, DES and execute), not
+            // just the executor's time.
+            epoch_ms.push(start.elapsed().as_secs_f64() * 1e3);
             let m = r.measured.expect("threaded backend measures");
-            // Whole-epoch wall (scheduling included), not just body time.
-            let _ = start;
-            epoch_ms.push(m.wall_seconds * 1e3);
             for (cat, secs) in &m.category_seconds {
                 *categories.entry(cat.name().to_string()).or_insert(0.0) += secs * 1e3;
             }
@@ -1041,27 +1027,19 @@ fn validate_exec_bench(text: &str) -> Result<String, String> {
 /// can gate on it.
 fn cmd_trace(flags: &HashMap<String, String>) {
     if let Some(path) = flags.get("check") {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            exit(1)
-        });
         // Auto-detect the artifact kind: a Chrome trace has `traceEvents`,
         // a metrics dump has `bench: "trace"`.
-        let verdict = if text.contains("\"traceEvents\"") {
-            mg_gcn::trace::chrome::validate_chrome_trace(&text).map(|s| {
-                format!("valid chrome trace: {} events, {} metadata records", s.events, s.metas)
-            })
-        } else {
-            mg_gcn::trace::chrome::validate_bench_trace(&text)
-                .map(|()| "valid BENCH_trace metrics dump".to_string())
-        };
-        match verdict {
-            Ok(msg) => println!("{path}: {msg}"),
-            Err(e) => {
-                eprintln!("{path}: INVALID: {e}");
-                exit(1);
+        let msg = check_file(path, |text| {
+            if text.contains("\"traceEvents\"") {
+                mg_gcn::trace::chrome::validate_chrome_trace(text).map(|s| {
+                    format!("valid chrome trace: {} events, {} metadata records", s.events, s.metas)
+                })
+            } else {
+                mg_gcn::trace::chrome::validate_bench_trace(text)
+                    .map(|()| "valid BENCH_trace metrics dump".to_string())
             }
-        }
+        });
+        println!("{path}: {msg}");
         return;
     }
 
@@ -1116,32 +1094,18 @@ fn cmd_trace(flags: &HashMap<String, String>) {
 
     // Write both artifacts, then re-read and schema-validate them — the
     // files on disk are what CI consumes, so they are what gets checked.
-    if let Err(e) = tracer.write_bench_json(std::path::Path::new(&out)) {
-        eprintln!("failed to write {out}: {e}");
-        exit(1);
-    }
-    let text = std::fs::read_to_string(&out).expect("just wrote it");
-    if let Err(e) = mg_gcn::trace::chrome::validate_bench_trace(&text) {
-        eprintln!("{out}: INVALID: {e}");
-        exit(1);
-    }
+    write_checked(&out, &tracer.bench_json(), mg_gcn::trace::chrome::validate_bench_trace);
     println!("wrote {out} (schema {})", mg_gcn::trace::BENCH_TRACE_SCHEMA);
     if let Some(path) = flags.get("chrome") {
-        if let Err(e) = tracer.write_chrome_trace(std::path::Path::new(path), true) {
-            eprintln!("failed to write {path}: {e}");
-            exit(1);
-        }
-        let text = std::fs::read_to_string(path).expect("just wrote it");
-        match mg_gcn::trace::chrome::validate_chrome_trace(&text) {
-            Ok(s) => println!(
-                "wrote {path}: {} events, {} metadata records (open in chrome://tracing)",
-                s.events, s.metas
-            ),
-            Err(e) => {
-                eprintln!("{path}: INVALID: {e}");
-                exit(1);
-            }
-        }
+        let s = write_checked(
+            path,
+            &tracer.chrome_trace(true),
+            mg_gcn::trace::chrome::validate_chrome_trace,
+        );
+        println!(
+            "wrote {path}: {} events, {} metadata records (open in chrome://tracing)",
+            s.events, s.metas
+        );
     }
     if !ok {
         exit(1);
@@ -1297,15 +1261,7 @@ fn emit_analyze_json(
     }
     match flags.get("out") {
         Some(path) => {
-            if let Err(e) = std::fs::write(path, format!("{text}\n")) {
-                eprintln!("failed to write {path}: {e}");
-                exit(1);
-            }
-            let back = std::fs::read_to_string(path).expect("just wrote it");
-            if let Err(e) = validate_analyze_json(&back) {
-                eprintln!("{path}: INVALID: {e}");
-                exit(1);
-            }
+            write_checked(path, &format!("{text}\n"), validate_analyze_json);
             println!("wrote {path} (schema {ANALYZE_SCHEMA})");
         }
         None => println!("{text}"),
@@ -1661,20 +1617,9 @@ fn print_schedule_report(label: &str, dump: Option<String>, report: &mg_gcn::ana
 fn cmd_topo_bench(flags: &HashMap<String, String>) {
     use mg_gcn::topo::{self, TopoBenchOptions};
     if let Some(path) = flags.get("check") {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            exit(1)
-        });
-        match topo::validate_topo_bench(&text) {
-            Ok(()) => {
-                println!("{path}: valid {} stat card, all verdicts pass", topo::BENCH_TOPO_SCHEMA);
-                return;
-            }
-            Err(e) => {
-                eprintln!("{path}: INVALID: {e}");
-                exit(1)
-            }
-        }
+        check_file(path, topo::validate_topo_bench);
+        println!("{path}: valid {} stat card, all verdicts pass", topo::BENCH_TOPO_SCHEMA);
+        return;
     }
     let out = flags.get("out").cloned().unwrap_or_else(|| "BENCH_topo.json".to_string());
     let start = Instant::now();

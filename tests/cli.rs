@@ -50,7 +50,40 @@ fn simulate_profile_and_trace() {
     assert!(text.contains("utilization"), "{text}");
     let json = std::fs::read_to_string(&trace).expect("trace written");
     std::fs::remove_file(&trace).ok();
-    assert!(json.contains("traceEvents"));
+    let summary = mg_gcn::trace::chrome::validate_chrome_trace(&json).expect("schema-valid trace");
+    assert!(summary.events > 0, "no \"X\" events in {json}");
+    assert!(json.contains("(sim)"), "no simulated-clock process in {json}");
+}
+
+#[test]
+fn check_accepts_committed_artifacts_and_rejects_malformed() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let bogus = std::env::temp_dir().join(format!("mggcn_cli_bogus_{}.json", std::process::id()));
+    std::fs::write(&bogus, "{}").expect("write malformed artifact");
+    let cases = [
+        ("topo-bench", root.join("BENCH_topo.json"), true),
+        ("bench-exec", root.join("BENCH_exec.json"), true),
+        ("cluster-bench", root.join("BENCH_cluster.json"), true),
+        ("trace", root.join("BENCH_trace.json"), true),
+        ("topo-bench", bogus.clone(), false),
+        ("bench-exec", bogus.clone(), false),
+        ("cluster-bench", bogus.clone(), false),
+        ("trace", bogus.clone(), false),
+        ("serve-bench", bogus.clone(), false),
+    ];
+    for (cmd, path, valid) in cases {
+        let out = mggcn()
+            .args([cmd, "--check", path.to_str().expect("utf8 path")])
+            .output()
+            .expect("run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.success(), valid, "{cmd} --check {}: {stderr}", path.display());
+        if !valid {
+            assert_eq!(out.status.code(), Some(1), "{cmd}: {stderr}");
+            assert!(stderr.contains("INVALID"), "{cmd}: {stderr}");
+        }
+    }
+    std::fs::remove_file(&bogus).ok();
 }
 
 #[test]

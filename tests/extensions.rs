@@ -6,7 +6,7 @@ use mg_gcn::baselines::minibatch::{MiniBatchConfig, MiniBatchTrainer};
 use mg_gcn::core::attention::GatLayer;
 use mg_gcn::core::checkpoint::Checkpoint;
 use mg_gcn::core::fit::{fit, FitOptions, StopReason};
-use mg_gcn::gpusim::{trace, Profile};
+use mg_gcn::gpusim::Profile;
 use mg_gcn::prelude::*;
 
 fn graph(n: usize, seed: u64) -> Graph {
@@ -90,12 +90,15 @@ fn profile_and_trace_from_a_real_epoch() {
     let opts = TrainOptions::full(MachineSpec::dgx_a100(), 4);
     let problem = Problem::from_stats(&card, &opts);
     let mut trainer = Trainer::new(problem, cfg, opts).expect("fits");
+    let tracer = std::sync::Arc::new(Tracer::new());
+    trainer.set_tracer(tracer.clone());
     let report = trainer.train_epoch().expect("train");
     let profile = Profile::from_timeline(&report.timeline, report.sim_seconds);
     assert!(profile.kernels.iter().any(|k| k.label == "spmm"));
     assert!(profile.utilization() > 0.0 && profile.utilization() <= 1.0);
-    let json = trace::to_chrome_trace(&report.timeline);
-    assert!(json.contains("\"traceEvents\""));
+    let json = tracer.chrome_trace(false);
+    let summary = mg_gcn::trace::chrome::validate_chrome_trace(&json).expect("valid trace");
+    assert_eq!(summary.events, report.timeline.spans.len());
     assert!(json.contains("bcast-H"));
 }
 
