@@ -42,6 +42,12 @@ echo "==> tests (workspace, kernel pool width 4)"
 # wider than the machine.
 MGGCN_THREADS=4 cargo test -q --workspace
 
+echo "==> benchmark package tests (wallbench is a workspace of its own)"
+# Its smoke test drives the kernels' public API and checks served rows
+# bit-identical to forward_full and threaded losses equal to simulated
+# ones, so a kernel change that breaks the benchmark fails CI here.
+cargo test -q --offline --manifest-path wallbench/Cargo.toml
+
 echo "==> conformance harness (testkit: differential + golden + 50-seed fuzz)"
 # Failing fuzz seeds are printed by the test for replay via
 # MGGCN_FUZZ_SEED=<seed> cargo test -p mggcn-testkit --test fuzz_corpus

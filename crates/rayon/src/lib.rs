@@ -20,7 +20,7 @@
 //!   reproducing the sequential element order exactly;
 //! * `fold`/`reduce` — the only place accumulation *grouping* is
 //!   observable in f32 — uses a piece count that is a pure function of
-//!   the input length ([`pool::fold_pieces`]), never of the thread
+//!   the input length ([`fold_ranges`]), never of the thread
 //!   count, and combines partials left-to-right on the calling thread.
 //!
 //! Every kernel in the workspace is deterministic given those rules, so
@@ -28,8 +28,9 @@
 
 mod pool;
 
-pub use pool::{effective_threads, pool_size, set_active_threads};
+pub use pool::{effective_threads, fold_ranges, pool_size, set_active_threads};
 
+use std::ops::Range;
 use std::sync::Mutex;
 
 /// A splittable source of items: the engine behind every parallel
@@ -49,14 +50,12 @@ pub trait Producer: Send + Sized {
     fn into_seq(self) -> Self::SeqIter;
 }
 
-/// Split `prod` into `q` balanced pieces (sizes differ by at most one).
-fn split_into<P: Producer>(mut prod: P, q: usize) -> Vec<P> {
-    let n = prod.len();
-    let (base, rem) = (n / q, n % q);
-    let mut out = Vec::with_capacity(q);
-    for i in 0..q.saturating_sub(1) {
-        let take = base + usize::from(i < rem);
-        let (head, tail) = prod.split_at(take);
+/// Split `prod` into consecutive pieces covering `ranges` — a piece plan
+/// ([`pool::pieces_for`] or [`fold_ranges`]) of `0..prod.len()`.
+fn split_by<P: Producer>(mut prod: P, ranges: &[Range<usize>]) -> Vec<P> {
+    let mut out = Vec::with_capacity(ranges.len());
+    for r in &ranges[..ranges.len().saturating_sub(1)] {
+        let (head, tail) = prod.split_at(r.len());
         out.push(head);
         prod = tail;
     }
@@ -64,16 +63,14 @@ fn split_into<P: Producer>(mut prod: P, q: usize) -> Vec<P> {
     out
 }
 
-/// Run `f` over every piece of `prod`, split `q` ways, on the pool.
-/// `f` receives `(piece_index, piece)`.
-fn drive<P, F>(prod: P, q: usize, f: F)
+/// Run `f` over every piece of `pieces` on the pool. `f` receives
+/// `(piece_index, piece)`.
+fn drive<P, F>(pieces: Vec<P>, f: F)
 where
     P: Producer,
     F: Fn(usize, P) + Sync,
 {
-    debug_assert!(q >= 1);
-    let slots: Vec<Mutex<Option<P>>> =
-        split_into(prod, q).into_iter().map(|p| Mutex::new(Some(p))).collect();
+    let slots: Vec<Mutex<Option<P>>> = pieces.into_iter().map(|p| Mutex::new(Some(p))).collect();
     pool::run_pieces(slots.len(), |i| {
         let piece =
             slots[i].lock().unwrap_or_else(|e| e.into_inner()).take().expect("piece claimed twice");
@@ -112,7 +109,7 @@ pub trait ParallelIterator: Producer {
         if n == 0 {
             return;
         }
-        drive(self, pool::pieces_for(n), |_, piece| piece.into_seq().for_each(&f));
+        drive(split_by(self, &pool::pieces_for(n)), |_, piece| piece.into_seq().for_each(&f));
     }
 
     fn map<R, F>(self, f: F) -> Map<Self, F>
@@ -134,20 +131,19 @@ pub trait ParallelIterator: Producer {
         Enumerate { base: self, offset: 0 }
     }
 
-    /// rayon-style fold: one accumulator per piece, each folded
-    /// sequentially from `identity()`. Piece geometry is a pure function
-    /// of `len` (see [`pool::fold_pieces`]), so the f32 accumulation
-    /// grouping — hence the result — is independent of the thread count.
+    /// rayon-style fold: one accumulator per piece of [`fold_ranges`],
+    /// each folded sequentially from `identity()`. The piece plan is a
+    /// pure function of `len`, so the f32 accumulation grouping — hence
+    /// the result — is independent of the thread count.
     fn fold<T, ID, F>(self, identity: ID, fold_op: F) -> FoldResult<T>
     where
         T: Send,
         ID: Fn() -> T + Sync,
         F: Fn(T, Self::Item) -> T + Sync,
     {
-        let n = self.len();
-        let q = pool::fold_pieces(n);
-        let slots: Vec<Mutex<Option<T>>> = (0..q).map(|_| Mutex::new(None)).collect();
-        drive(self, q, |i, piece| {
+        let ranges = fold_ranges(self.len());
+        let slots: Vec<Mutex<Option<T>>> = ranges.iter().map(|_| Mutex::new(None)).collect();
+        drive(split_by(self, &ranges), |i, piece| {
             let acc = piece.into_seq().fold(identity(), &fold_op);
             *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(acc);
         });
@@ -172,9 +168,10 @@ pub trait ParallelIterator: Producer {
         if n == 0 {
             return std::iter::empty().collect();
         }
-        let q = pool::pieces_for(n);
-        let slots: Vec<Mutex<Option<Vec<Self::Item>>>> = (0..q).map(|_| Mutex::new(None)).collect();
-        drive(self, q, |i, piece| {
+        let ranges = pool::pieces_for(n);
+        let slots: Vec<Mutex<Option<Vec<Self::Item>>>> =
+            ranges.iter().map(|_| Mutex::new(None)).collect();
+        drive(split_by(self, &ranges), |i, piece| {
             *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(piece.into_seq().collect());
         });
         slots
@@ -564,6 +561,33 @@ mod tests {
         for t in [2usize, 3, 8] {
             assert_eq!(s1.to_bits(), sum_with(t).to_bits(), "threads={t}");
         }
+    }
+
+    #[test]
+    fn fold_splits_by_the_published_fold_ranges() {
+        for len in [0usize, 1, 1024, 1025, 10_000, 70_000] {
+            let ranges = crate::fold_ranges(len);
+            assert_eq!(ranges.first().map(|r| r.start), Some(0), "len={len}");
+            assert_eq!(ranges.last().map(|r| r.end), Some(len), "len={len}");
+            assert!(ranges.windows(2).all(|w| w[0].end == w[1].start), "len={len}");
+            let partials = (0..len)
+                .into_par_iter()
+                .fold(
+                    || None,
+                    |span: Option<(usize, usize)>, i| Some((span.map_or(i, |s| s.0), i + 1)),
+                )
+                .partials;
+            let spans: Vec<(usize, usize)> =
+                partials.into_iter().map(|p| p.unwrap_or((0, 0))).collect();
+            let expect: Vec<(usize, usize)> = ranges
+                .iter()
+                .map(|r| if r.is_empty() { (0, 0) } else { (r.start, r.end) })
+                .collect();
+            assert_eq!(spans, expect, "len={len}");
+        }
+        assert_eq!(crate::fold_ranges(1024).len(), 1);
+        assert_eq!(crate::fold_ranges(1025).len(), 2);
+        assert_eq!(crate::fold_ranges(70_000).len(), 64);
     }
 
     #[test]

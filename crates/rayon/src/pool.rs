@@ -21,6 +21,7 @@
 
 use std::any::Any;
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -247,23 +248,41 @@ where
     }
 }
 
-/// Piece count for **order-insensitive** regions (`for_each`, `map` +
-/// `collect`): scales with the active thread count for load balance;
-/// results are unaffected because pieces write disjoint outputs (or are
-/// re-concatenated in index order).
-pub(crate) fn pieces_for(len: usize) -> usize {
-    len.min(effective_threads().saturating_mul(4)).max(1)
+/// Piece plan for **order-insensitive** regions (`for_each`, `map` +
+/// `collect`): the piece count scales with the active thread count for
+/// load balance; results are unaffected because pieces write disjoint
+/// outputs (or are re-concatenated in index order).
+pub(crate) fn pieces_for(len: usize) -> Vec<Range<usize>> {
+    balanced_ranges(len, len.min(effective_threads().saturating_mul(4)).max(1))
 }
 
-/// Piece count for **order-sensitive** regions (`fold`/`reduce`): a pure
-/// function of `len`, never of the thread count, so f32 accumulation
-/// grouping — and therefore every trained weight — is bit-identical for
-/// any `MGGCN_THREADS`. Lengths ≤ [`FOLD_CHUNK`] collapse to one piece,
-/// which reproduces plain sequential accumulation exactly.
-pub(crate) fn fold_pieces(len: usize) -> usize {
+/// Piece plan for **order-sensitive** regions (`fold`/`reduce`): the item
+/// ranges of each piece, in order, as a pure function of `len` — never of
+/// the thread count — so f32 accumulation grouping, and therefore every
+/// trained weight, is bit-identical for any `MGGCN_THREADS`. Lengths ≤
+/// [`FOLD_CHUNK`] collapse to one piece (`len == 0` gives one empty
+/// piece), which reproduces plain sequential accumulation exactly; longer
+/// ones split into at most 64 balanced pieces whose sizes differ by at
+/// most one, larger pieces first.
+pub fn fold_ranges(len: usize) -> Vec<Range<usize>> {
     const MAX_PIECES: usize = 64;
-    len.div_ceil(FOLD_CHUNK).clamp(1, MAX_PIECES)
+    balanced_ranges(len, len.div_ceil(FOLD_CHUNK).clamp(1, MAX_PIECES))
 }
 
-/// Minimum items per fold piece (see [`fold_pieces`]).
-pub(crate) const FOLD_CHUNK: usize = 1024;
+/// `q ≥ 1` consecutive ranges covering `0..len` whose sizes differ by at
+/// most one, larger ranges first.
+fn balanced_ranges(len: usize, q: usize) -> Vec<Range<usize>> {
+    let (base, rem) = (len / q, len % q);
+    let mut start = 0;
+    (0..q)
+        .map(|i| {
+            let end = start + base + usize::from(i < rem);
+            let piece = start..end;
+            start = end;
+            piece
+        })
+        .collect()
+}
+
+/// Minimum items per fold piece (see [`fold_ranges`]).
+const FOLD_CHUNK: usize = 1024;

@@ -10,7 +10,6 @@
 use crate::csr::Csr;
 use mggcn_dense::gemm::Accumulate;
 use mggcn_dense::Dense;
-use rayon::prelude::*;
 
 /// Compressed Sparse Column matrix (`f32` values, `u32` row indices).
 #[derive(Clone, Debug, PartialEq)]
@@ -77,24 +76,7 @@ pub fn spmm_csc(a: &Csc, b: &Dense, c: &mut Dense, acc: Accumulate) {
     assert_eq!(a.rows(), b.rows(), "spmm_csc inner dimension mismatch");
     assert_eq!(a.cols(), c.rows(), "spmm_csc output rows mismatch");
     assert_eq!(b.cols(), c.cols(), "spmm_csc output cols mismatch");
-    let d = b.cols();
-    let b_data = b.as_slice();
-    const ROW_BLOCK: usize = 32;
-    c.as_mut_slice().par_chunks_mut(ROW_BLOCK * d).enumerate().for_each(|(blk, c_chunk)| {
-        let col0 = blk * ROW_BLOCK;
-        for (i, c_row) in c_chunk.chunks_mut(d).enumerate() {
-            let j = col0 + i;
-            if acc == Accumulate::Overwrite {
-                c_row.fill(0.0);
-            }
-            for (r, v) in a.col(j) {
-                let b_row = &b_data[r as usize * d..(r as usize + 1) * d];
-                for (cj, bj) in c_row.iter_mut().zip(b_row) {
-                    *cj += v * bj;
-                }
-            }
-        }
-    });
+    crate::spmm::gather_rows(&a.col_ptr, &a.row_idx, &a.values, |j| j, b, c, acc);
 }
 
 #[cfg(test)]

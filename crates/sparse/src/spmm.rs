@@ -5,10 +5,13 @@
 //! dense. Parallelism is over output rows; each row's accumulation is a
 //! gather of `B` rows scaled by the CSR values — the same access pattern as
 //! cuSPARSE's CSR SpMM, and memory-bandwidth bound for the same reason.
+//! The gather runs in the shared row kernel
+//! [`accumulate_rows`](mggcn_dense::accumulate_rows), which holds the
+//! output row in registers across the whole CSR row.
 
 use crate::csr::Csr;
 use mggcn_dense::gemm::Accumulate;
-use mggcn_dense::Dense;
+use mggcn_dense::{accumulate_rows, Dense};
 use rayon::prelude::*;
 
 /// Rows handled per parallel task. Irregular row lengths make smaller blocks
@@ -21,27 +24,7 @@ pub fn spmm(a: &Csr, b: &Dense, c: &mut Dense, acc: Accumulate) {
     assert_eq!(a.cols(), b.rows(), "spmm inner dimension mismatch");
     assert_eq!(a.rows(), c.rows(), "spmm output rows mismatch");
     assert_eq!(b.cols(), c.cols(), "spmm output cols mismatch");
-    let d = b.cols();
-    let b_data = b.as_slice();
-    let row_ptr = a.row_ptr();
-    let col_idx = a.col_idx();
-    let values = a.values();
-    c.as_mut_slice().par_chunks_mut(ROW_BLOCK * d).enumerate().for_each(|(blk, c_chunk)| {
-        let row0 = blk * ROW_BLOCK;
-        for (i, c_row) in c_chunk.chunks_mut(d).enumerate() {
-            let r = row0 + i;
-            if acc == Accumulate::Overwrite {
-                c_row.fill(0.0);
-            }
-            for e in row_ptr[r]..row_ptr[r + 1] {
-                let v = values[e];
-                let b_row = &b_data[col_idx[e] as usize * d..(col_idx[e] as usize + 1) * d];
-                for (cj, bj) in c_row.iter_mut().zip(b_row) {
-                    *cj += v * bj;
-                }
-            }
-        }
-    });
+    gather_rows(a.row_ptr(), a.col_idx(), a.values(), |i| i, b, c, acc);
 }
 
 /// Row-sliced SpMM: `C[i, :] (+)= A[rows[i], :] · B` for each requested
@@ -57,26 +40,40 @@ pub fn spmm_rows(a: &Csr, rows: &[u32], b: &Dense, c: &mut Dense, acc: Accumulat
     assert_eq!(a.cols(), b.rows(), "spmm_rows inner dimension mismatch");
     assert_eq!(rows.len(), c.rows(), "spmm_rows output rows mismatch");
     assert_eq!(b.cols(), c.cols(), "spmm_rows output cols mismatch");
+    let row_of = |i: usize| {
+        let r = rows[i] as usize;
+        assert!(r < a.rows(), "spmm_rows row {r} out of bounds");
+        r
+    };
+    gather_rows(a.row_ptr(), a.col_idx(), a.values(), row_of, b, c, acc);
+}
+
+/// The body every SpMM shares: output row `i` (+)= compressed row
+/// `row_of(i)` of `(row_ptr, idx, values)` times `B`, its entries applied
+/// in storage order by the shared row kernel.
+pub(crate) fn gather_rows(
+    row_ptr: &[usize],
+    idx: &[u32],
+    values: &[f32],
+    row_of: impl Fn(usize) -> usize + Sync,
+    b: &Dense,
+    c: &mut Dense,
+    acc: Accumulate,
+) {
     let d = b.cols();
+    if c.is_empty() {
+        return;
+    }
     let b_data = b.as_slice();
-    let row_ptr = a.row_ptr();
-    let col_idx = a.col_idx();
-    let values = a.values();
     c.as_mut_slice().par_chunks_mut(ROW_BLOCK * d).enumerate().for_each(|(blk, c_chunk)| {
         let out0 = blk * ROW_BLOCK;
         for (i, c_row) in c_chunk.chunks_mut(d).enumerate() {
-            let r = rows[out0 + i] as usize;
-            assert!(r < a.rows(), "spmm_rows row {r} out of bounds");
+            let r = row_of(out0 + i);
+            let nz = row_ptr[r]..row_ptr[r + 1];
             if acc == Accumulate::Overwrite {
                 c_row.fill(0.0);
             }
-            for e in row_ptr[r]..row_ptr[r + 1] {
-                let v = values[e];
-                let b_row = &b_data[col_idx[e] as usize * d..(col_idx[e] as usize + 1) * d];
-                for (cj, bj) in c_row.iter_mut().zip(b_row) {
-                    *cj += v * bj;
-                }
-            }
+            accumulate_rows(c_row, &values[nz.clone()], &idx[nz], b_data);
         }
     });
 }
